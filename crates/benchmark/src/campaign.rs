@@ -2,7 +2,10 @@
 //! measurement path.
 //!
 //! A campaign is a dataset grid measured chunk by chunk into a
-//! checkpointed [`crate::store::CampaignStore`]. The runner owns its
+//! checkpointed [`crate::store::CampaignStore`]. This runner is the
+//! only code that measures a grid: [`DatasetSpec::generate`] and
+//! [`DatasetSpec::generate_with_faults`] run it with no store, keeping
+//! the records in memory. The runner owns its
 //! threads (`std::thread::scope`, no pool dependency) and steals work at
 //! **chunk** granularity:
 //!
@@ -94,6 +97,14 @@ pub struct CampaignReport {
     pub steals: u64,
 }
 
+impl CampaignReport {
+    /// Upper bound on benchmarking time: `#records × budget` (the
+    /// paper's "3 hours" bound for SuperMUC-NG).
+    pub fn budget_bound(&self, bench: &BenchConfig) -> SimTime {
+        SimTime(self.records.len() as u64 * bench.budget.picos())
+    }
+}
+
 /// Per-worker chunk deques plus the steal counter.
 struct StealQueues {
     queues: Vec<Mutex<VecDeque<u64>>>,
@@ -181,6 +192,10 @@ fn measure_chunk(
         // One simulator per (nodes, ppn) run — cells are topo-major, so
         // equal-topology cells are contiguous within the chunk.
         let head = grid.cell(id);
+        let mut run_span = mpcp_obs::span("measure")
+            .attr("nodes", head.nodes)
+            .attr("ppn", head.ppn);
+        let run_start = id;
         let topo = Topology::new(head.nodes, head.ppn);
         let sim = Simulator::new(&machine.model, &topo);
         while id < end {
@@ -208,7 +223,10 @@ fn measure_chunk(
                 CellMeasurement::Lost(result) => {
                     chunk.fates.push(match result.outcome {
                         crate::fault::CellOutcome::TimedOut => fate::TIMED_OUT,
-                        _ => fate::FAILED,
+                        _ => {
+                            mpcp_obs::counter_add!("bench.cells_failed", 1);
+                            fate::FAILED
+                        }
                     });
                     chunk.retries += u64::from(result.attempts - 1);
                     chunk.retry_picos += result.retry_overhead.picos();
@@ -228,6 +246,7 @@ fn measure_chunk(
             }
             id += 1;
         }
+        run_span.set_attr("cells", id - run_start);
     }
     span.set_attr("cells", chunk.cells());
     span.set_attr("ok", chunk.ok_cells());
@@ -252,10 +271,7 @@ pub fn run_campaign(
     cfg: &CampaignConfig,
     store_path: &Path,
 ) -> Result<CampaignReport, StoreError> {
-    let threads = cfg.threads.max(1);
     let chunk_size = cfg.checkpoint_every.max(1);
-    let configs = library.configs(spec.coll);
-    let grid = spec.cell_grid(library);
     let header = StoreHeader::new(
         spec.id,
         spec.coll.mpi_name(),
@@ -266,14 +282,44 @@ pub fn run_campaign(
         spec.nodes.clone(),
         spec.ppn.clone(),
         spec.msizes.clone(),
-        configs.len(),
+        library.configs(spec.coll).len(),
         chunk_size,
         bench,
         retry,
         plan,
     );
+    let (mut store, resumed) = if cfg.resume {
+        CampaignStore::open_or_create(store_path, header)?
+    } else {
+        (CampaignStore::create(store_path, header)?, Vec::new())
+    };
+    run_chunks(spec, library, bench, plan, retry, cfg.threads, chunk_size, &resumed, |chunk| {
+        store.append(chunk)
+    })
+}
+
+/// Measure every chunk of `spec`'s grid after the `resumed` prefix on
+/// `threads` work-stealing workers and hand each to `commit` strictly
+/// in chunk order; a commit error stops the run. [`run_campaign`]
+/// commits into its store, [`DatasetSpec::generate_with_faults`] keeps
+/// the records in memory only.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_chunks<E>(
+    spec: &DatasetSpec,
+    library: &MpiLibrary,
+    bench: &BenchConfig,
+    plan: Option<&FaultPlan>,
+    retry: &RetryPolicy,
+    threads: usize,
+    chunk_size: u64,
+    resumed: &[ChunkData],
+    mut commit: impl FnMut(&ChunkData) -> Result<(), E>,
+) -> Result<CampaignReport, E> {
+    let threads = threads.max(1);
+    let configs = library.configs(spec.coll);
+    let grid = spec.cell_grid(library);
     let cells_total = grid.len();
-    let chunks_total = header.total_chunks();
+    let chunks_total = cells_total.div_ceil(chunk_size);
 
     let mut span = mpcp_obs::span("campaign.run")
         .attr("dataset", spec.id)
@@ -281,19 +327,14 @@ pub fn run_campaign(
         .attr("chunks", chunks_total);
     let wall = mpcp_obs::maybe_now();
 
-    let (mut store, resumed) = if cfg.resume {
-        CampaignStore::open_or_create(store_path, header)?
-    } else {
-        (CampaignStore::create(store_path, header)?, Vec::new())
-    };
     let chunks_resumed = resumed.len() as u64;
-    let cells_resumed = store.cells_done();
+    let cells_resumed: u64 = resumed.iter().map(ChunkData::cells).sum();
     mpcp_obs::counter_add!("campaign.cells_resumed", cells_resumed);
 
     let mut records: Vec<Record> = Vec::new();
     let mut faults = FaultSummary::default();
     let mut consumed_picos = 0u64;
-    for chunk in &resumed {
+    for chunk in resumed {
         records.extend(chunk.to_records());
         faults.merge(&chunk.summary());
         consumed_picos += chunk.consumed_picos;
@@ -301,7 +342,7 @@ pub fn run_campaign(
 
     let noise = NoiseModel::default();
     let queues = StealQueues::deal(chunks_resumed, chunks_total, threads);
-    let mut commit_error: Option<StoreError> = None;
+    let mut commit_error: Option<E> = None;
     if chunks_resumed < chunks_total {
         let (tx, rx) = mpsc::channel::<(u64, ChunkData)>();
         std::thread::scope(|scope| {
@@ -314,11 +355,11 @@ pub fn run_campaign(
                 scope.spawn(move || {
                     while let Some(index) = queues.next(w) {
                         let chunk = measure_chunk(
-                            grid, configs, machine, spec.seed, bench, noise, plan, retry, index,
-                            chunk_size,
+                            grid, configs, machine, spec.seed, bench, noise, plan, retry,
+                            index, chunk_size,
                         );
                         // A send error means the committer stopped
-                        // (append failure); stop measuring.
+                        // (commit failure); stop measuring.
                         if tx.send((index, chunk)).is_err() {
                             break;
                         }
@@ -326,13 +367,13 @@ pub fn run_campaign(
                 });
             }
             drop(tx);
-            // Committer: buffer out-of-order chunks, append in order.
+            // Committer: buffer out-of-order chunks, commit in order.
             let mut pending: BTreeMap<u64, ChunkData> = BTreeMap::new();
             let mut next = chunks_resumed;
             'commit: while let Ok((index, chunk)) = rx.recv() {
                 pending.insert(index, chunk);
                 while let Some(chunk) = pending.remove(&next) {
-                    if let Err(e) = store.append(&chunk) {
+                    if let Err(e) = commit(&chunk) {
                         commit_error = Some(e);
                         break 'commit;
                     }
@@ -383,31 +424,6 @@ mod tests {
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("mpcp_campaign_{name}_{}", std::process::id()))
-    }
-
-    #[test]
-    fn campaign_matches_the_sequential_generator() {
-        let spec = DatasetSpec::tiny_for_tests();
-        let lib = spec.library(None);
-        let bench = BenchConfig::quick();
-        let path = tmp("seq_equiv");
-        let cfg = CampaignConfig { threads: 2, checkpoint_every: 5, resume: false };
-        let report = run_campaign(
-            &spec,
-            &lib,
-            &bench,
-            None,
-            &RetryPolicy::default(),
-            &cfg,
-            &path,
-        )
-        .unwrap();
-        let direct = spec.generate(&lib, &bench);
-        assert_eq!(report.records, direct.records);
-        assert_eq!(report.faults, direct.faults);
-        assert_eq!(report.total_bench, direct.total_bench);
-        assert_eq!(report.cells_total, spec.sample_count(&lib) as u64);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! Canonical, lazy enumeration of a benchmark grid's cells.
 //!
-//! Both the original [`crate::datasets::DatasetSpec::generate_with_faults`]
-//! path and the parallel campaign engine ([`crate::campaign`]) walk the
-//! same four-dimensional grid `(nodes × ppn × configuration × msize)`.
-//! Before this module each path re-derived the grid with its own nested
-//! loops, which is exactly how two "identical" sweeps drift apart. A
-//! [`CellGrid`] instead assigns every cell a dense **cell id** in one
-//! pinned canonical order —
+//! The campaign runner ([`crate::campaign`]) walks the four-dimensional
+//! grid `(nodes × ppn × configuration × msize)` chunk by chunk, and the
+//! store ([`crate::store`]) records it in the same order. A
+//! [`CellGrid`] assigns every cell a dense **cell id** in one pinned
+//! canonical order —
 //!
 //! ```text
 //! id = ((node_i · |ppn| + ppn_i) · |configs| + uid) · |msizes| + msize_i
@@ -148,11 +146,9 @@ pub enum CellMeasurement {
 /// Measure one grid cell: one deterministic simulation plus the
 /// fault-aware ReproMPI loop on the cell's own noise stream.
 ///
-/// This is the single measurement path shared by the sequential dataset
-/// generator and the parallel campaign runner; a cell's outcome is a
-/// pure function of `(seed, cell coordinates, bench, plan, retry)`, so
-/// the two paths — and any thread interleaving inside the campaign —
-/// produce bit-identical results.
+/// A cell's outcome is a pure function of `(seed, cell coordinates,
+/// bench, plan, retry)`, so any thread interleaving inside the campaign
+/// produces bit-identical results.
 #[allow(clippy::too_many_arguments)]
 pub fn measure_grid_cell(
     sim: &Simulator<'_>,

@@ -7,19 +7,17 @@
 //! Table III training set adds node count 20 — we follow Table III; see
 //! DESIGN.md "Known deviations").
 
-use std::path::Path;
-
-use rayon::prelude::*;
+use std::convert::Infallible;
 
 use mpcp_collectives::{Collective, MpiLibrary};
 use mpcp_collectives::decision::TuningGrid;
-use mpcp_simnet::{Machine, SimTime, Simulator, Topology};
+use mpcp_simnet::Machine;
 
-use crate::cells::{measure_grid_cell, CellGrid, CellMeasurement};
-use crate::fault::{FaultPlan, FaultSummary, RetryPolicy};
-use crate::noise::NoiseModel;
-use crate::record::{read_csv, write_csv, Record};
+use crate::campaign::{run_chunks, CampaignReport, DEFAULT_CHECKPOINT_EVERY};
+use crate::cells::CellGrid;
+use crate::fault::{FaultPlan, RetryPolicy};
 use crate::repro::BenchConfig;
+use crate::store::ChunkData;
 
 /// Which simulated MPI library a dataset uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -270,8 +268,8 @@ impl DatasetSpec {
         library.configs(self.coll).len() * self.nodes.len() * self.ppn.len() * self.msizes.len()
     }
 
-    /// The canonical cell-id mapping for this dataset's grid (shared by
-    /// [`DatasetSpec::generate_with_faults`] and the campaign runner).
+    /// The canonical cell-id mapping for this dataset's grid, in the
+    /// order the campaign runner measures and stores it.
     pub fn cell_grid(&self, library: &MpiLibrary) -> CellGrid {
         CellGrid::new(
             self.nodes.clone(),
@@ -285,146 +283,36 @@ impl DatasetSpec {
     ///
     /// Every cell simulates the collective once (deterministic) and runs
     /// the ReproMPI repetition loop around it with cell-seeded noise.
-    pub fn generate(&self, library: &MpiLibrary, bench: &BenchConfig) -> DatasetResult {
+    pub fn generate(&self, library: &MpiLibrary, bench: &BenchConfig) -> CampaignReport {
         self.generate_with_faults(library, bench, None, &RetryPolicy::default())
     }
 
     /// Benchmark the grid under a fault plan: cells may fail, time out,
     /// or be blacked out, and failed attempts are retried per `retry`.
     ///
-    /// Passing `None` (or a no-op plan) produces records **bit-identical**
-    /// to [`DatasetSpec::generate`] — fault fates draw from a stream
-    /// independent of the measurement noise. Cells lost to faults are
-    /// simply absent from `records`; the accounting lives in
-    /// [`DatasetResult::faults`]. Simulation errors are likewise counted
-    /// per cell instead of aborting the whole grid.
+    /// This is the campaign runner ([`crate::campaign`]) with no store,
+    /// on every available core: the records equal a campaign's over the
+    /// same grid, bit for bit. Passing `None` (or a no-op plan) produces
+    /// records **bit-identical** to [`DatasetSpec::generate`] — fault
+    /// fates draw from a stream independent of the measurement noise.
+    /// Cells lost to faults are simply absent from `records`; the
+    /// accounting lives in [`CampaignReport::faults`]. Simulation errors
+    /// are likewise counted per cell instead of aborting the whole grid.
     pub fn generate_with_faults(
         &self,
         library: &MpiLibrary,
         bench: &BenchConfig,
         plan: Option<&FaultPlan>,
         retry: &RetryPolicy,
-    ) -> DatasetResult {
-        let noise = NoiseModel::default();
-        let configs = library.configs(self.coll);
-        let mut grid_span = mpcp_obs::span("bench.grid")
-            .attr("dataset", self.id)
-            .attr("configs", configs.len());
-        let wall = mpcp_obs::maybe_now();
-        // The canonical cell enumeration shared with the campaign runner:
-        // parallelize over (nodes, ppn) topology groups, each worker
-        // walking its group's contiguous cell-id range in order.
-        let grid = self.cell_grid(library);
-        let groups: Vec<usize> = (0..grid.topo_groups()).collect();
-        let cells: Vec<(Vec<Record>, SimTime, FaultSummary)> = groups
-            .par_iter()
-            .map(|&g| {
-                let (n, ppn) = grid.group(g);
-                let _cell_span = mpcp_obs::span("measure")
-                    .attr("nodes", n)
-                    .attr("ppn", ppn)
-                    .attr("cells", configs.len() * self.msizes.len());
-                let topo = Topology::new(n, ppn);
-                let sim = Simulator::new(&self.machine.model, &topo);
-                let mut records = Vec::with_capacity(configs.len() * self.msizes.len());
-                let mut consumed = SimTime::ZERO;
-                let mut faults = FaultSummary::default();
-                for cell in grid.group_cells(g) {
-                    let cfg = &configs[cell.uid as usize];
-                    match measure_grid_cell(
-                        &sim, &topo, cfg, cell, self.seed, bench, &noise, plan, retry,
-                    ) {
-                        CellMeasurement::Measured { record, result } => {
-                            faults.absorb(&result);
-                            consumed += result.consumed;
-                            records.push(record);
-                        }
-                        CellMeasurement::Lost(result) => {
-                            faults.absorb(&result);
-                            consumed += result.consumed;
-                        }
-                        CellMeasurement::SimError(e) => {
-                            // A broken cell must not abort the grid:
-                            // count it and move on.
-                            eprintln!(
-                                "warning: {} {} n={n} ppn={ppn} m={}: {e}",
-                                self.id,
-                                cfg.label(),
-                                cell.msize
-                            );
-                            faults.sim_errors += 1;
-                        }
-                    }
-                }
-                (records, consumed, faults)
-            })
-            .collect();
-        let mut records = Vec::new();
-        let mut total_bench = SimTime::ZERO;
-        let mut faults = FaultSummary::default();
-        for (r, c, f) in cells {
-            records.extend(r);
-            total_bench += c;
-            faults.merge(&f);
-        }
-        mpcp_obs::counter_add!("bench.cells_failed", faults.cells_failed as u64);
-        grid_span.set_attr("records", records.len());
-        grid_span.set_attr("cells_failed", faults.cells_failed);
-        grid_span.set_attr("cells_timed_out", faults.cells_timed_out);
-        grid_span.set_attr("sim_bench_secs", total_bench.as_secs_f64());
-        if let Some(t0) = wall {
-            let secs = t0.elapsed().as_secs_f64();
-            if secs > 0.0 {
-                // Grid throughput: measured cells per wall-clock second.
-                mpcp_obs::gauge_set!("bench.cells_per_sec", records.len() as f64 / secs);
-            }
-        }
-        DatasetResult { id: self.id, records, total_bench, faults }
-    }
-
-    /// Generate, caching the records as CSV under `cache_dir` (the
-    /// library and its decision logic are rebuilt deterministically and
-    /// are not cached).
-    pub fn generate_cached(
-        &self,
-        library: &MpiLibrary,
-        bench: &BenchConfig,
-        cache_dir: &Path,
-    ) -> DatasetResult {
-        let path = cache_dir.join(format!("{}.csv", self.id));
-        if let Ok(records) = read_csv(&path) {
-            if records.len() == self.sample_count(library) {
-                let faults = FaultSummary { cells_ok: records.len(), ..FaultSummary::default() };
-                return DatasetResult { id: self.id, records, total_bench: SimTime::ZERO, faults };
-            }
-        }
-        let result = self.generate(library, bench);
-        if let Err(e) = write_csv(&path, &result.records) {
-            eprintln!("warning: could not cache {}: {e}", path.display());
-        }
-        result
-    }
-}
-
-/// A generated dataset.
-#[derive(Clone, Debug)]
-pub struct DatasetResult {
-    /// Dataset id.
-    pub id: &'static str,
-    /// All measured cells (cells lost to faults are absent).
-    pub records: Vec<Record>,
-    /// Total simulated benchmarking time across the grid (zero when
-    /// loaded from cache).
-    pub total_bench: SimTime,
-    /// Fault accounting for the campaign (all-ok without a fault plan).
-    pub faults: FaultSummary,
-}
-
-impl DatasetResult {
-    /// Upper bound on benchmarking time: `#cells × budget` (the paper's
-    /// "3 hours" bound for SuperMUC-NG).
-    pub fn budget_bound(&self, bench: &BenchConfig) -> SimTime {
-        SimTime(self.records.len() as u64 * bench.budget.picos())
+    ) -> CampaignReport {
+        // Result bytes are thread-count invariant (the campaign
+        // determinism suite), so the core count only sets the speed.
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let chunk_size = DEFAULT_CHECKPOINT_EVERY;
+        let no_store = |_: &ChunkData| Ok::<(), Infallible>(());
+        let Ok(report) =
+            run_chunks(self, library, bench, plan, retry, threads, chunk_size, &[], no_store);
+        report
     }
 }
 
@@ -484,19 +372,6 @@ mod tests {
         let a = spec.generate(&lib, &BenchConfig::quick());
         let b = spec.generate(&lib, &BenchConfig::quick());
         assert_eq!(a.records, b.records);
-    }
-
-    #[test]
-    fn cache_roundtrip() {
-        let spec = DatasetSpec::tiny_for_tests();
-        let lib = spec.library(None);
-        let dir = std::env::temp_dir().join("mpcp_ds_cache_test");
-        std::fs::remove_dir_all(&dir).ok();
-        let a = spec.generate_cached(&lib, &BenchConfig::quick(), &dir);
-        let b = spec.generate_cached(&lib, &BenchConfig::quick(), &dir);
-        assert_eq!(a.records, b.records);
-        assert_eq!(b.total_bench, SimTime::ZERO); // loaded from cache
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -19,6 +19,12 @@
 //! [`datasets`] defines the paper's eight datasets (Table II) with the
 //! train/test node splits of Table III.
 //!
+//! [`campaign`] is the one code path that measures a grid: a
+//! work-stealing runner over the canonical cell order ([`cells`]) that
+//! commits chunks in order, either into a resumable columnar
+//! [`store`] ([`run_campaign`]) or into memory
+//! ([`DatasetSpec::generate`]).
+//!
 //! [`fault`] adds deterministic fault injection: a seeded [`FaultPlan`]
 //! makes cells fail, time out, or black out whole node counts, with
 //! bounded budget-charged retries — producing the partial grids the
@@ -37,7 +43,7 @@ pub mod store;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignReport};
 pub use cells::{Cell, CellGrid, CellMeasurement};
-pub use datasets::{DatasetResult, DatasetSpec, LibKind};
+pub use datasets::{DatasetSpec, LibKind};
 pub use fault::{CellFate, CellOutcome, CellResult, FaultPlan, FaultSummary, RetryPolicy};
 pub use noise::NoiseModel;
 pub use record::Record;

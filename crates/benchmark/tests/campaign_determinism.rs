@@ -7,13 +7,14 @@ use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 
+use mpcp_benchmark::cells::measure_grid_cell;
 use mpcp_benchmark::record::write_csv;
 use mpcp_benchmark::{
-    run_campaign, BenchConfig, CampaignConfig, CampaignReport, DatasetSpec, FaultPlan, LibKind,
-    RetryPolicy,
+    run_campaign, BenchConfig, CampaignConfig, CampaignReport, Cell, CellMeasurement, DatasetSpec,
+    FaultPlan, FaultSummary, LibKind, NoiseModel, Record, RetryPolicy,
 };
-use mpcp_collectives::Collective;
-use mpcp_simnet::Machine;
+use mpcp_collectives::{Collective, MpiLibrary};
+use mpcp_simnet::{Machine, SimTime, Simulator, Topology};
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("mpcp_det_{name}_{}", std::process::id()))
@@ -86,24 +87,66 @@ fn store_faults_and_csv_are_byte_identical_at_1_2_4_8_threads() {
     std::fs::remove_file(&base_csv).ok();
 }
 
+/// The independent reference: walk the grid in canonical order on one
+/// thread, one simulator per topology, accounting each cell by hand.
+fn sequential_oracle(
+    spec: &DatasetSpec,
+    lib: &MpiLibrary,
+    bench: &BenchConfig,
+    plan: Option<&FaultPlan>,
+    retry: &RetryPolicy,
+) -> (Vec<Record>, FaultSummary, SimTime) {
+    let configs = lib.configs(spec.coll);
+    let noise = NoiseModel::default();
+    let mut records = Vec::new();
+    let mut faults = FaultSummary::default();
+    let mut consumed = SimTime::ZERO;
+    let cells: Vec<Cell> = spec.cell_grid(lib).iter().collect();
+    for run in cells.chunk_by(|a, b| (a.nodes, a.ppn) == (b.nodes, b.ppn)) {
+        let topo = Topology::new(run[0].nodes, run[0].ppn);
+        let sim = Simulator::new(&spec.machine.model, &topo);
+        for &cell in run {
+            let cfg = &configs[cell.uid as usize];
+            match measure_grid_cell(&sim, &topo, cfg, cell, spec.seed, bench, &noise, plan, retry) {
+                CellMeasurement::Measured { record, result } => {
+                    faults.absorb(&result);
+                    consumed += result.consumed;
+                    records.push(record);
+                }
+                CellMeasurement::Lost(result) => {
+                    faults.absorb(&result);
+                    consumed += result.consumed;
+                }
+                CellMeasurement::SimError(_) => faults.sim_errors += 1,
+            }
+        }
+    }
+    (records, faults, consumed)
+}
+
 #[test]
 fn campaign_with_faults_matches_the_sequential_generator() {
     let spec = DatasetSpec::tiny_for_tests();
     let lib = spec.library(None);
     let bench = BenchConfig::quick();
-    let plan = lossy_plan(23);
     let retry = RetryPolicy::default();
+    let lossy = lossy_plan(23);
 
-    let path = tmp("vs_generator");
-    let cfg = CampaignConfig { threads: 4, checkpoint_every: 9, resume: false };
-    let report = run_campaign(&spec, &lib, &bench, Some(&plan), &retry, &cfg, &path)
-        .expect("campaign run");
-    let direct = spec.generate_with_faults(&lib, &bench, Some(&plan), &retry);
-
-    assert_eq!(report.records, direct.records);
-    assert_eq!(report.faults, direct.faults);
-    assert_eq!(report.total_bench, direct.total_bench);
-    std::fs::remove_file(&path).ok();
+    for (name, plan) in [("clean", None), ("lossy", Some(&lossy))] {
+        let (records, faults, consumed) = sequential_oracle(&spec, &lib, &bench, plan, &retry);
+        let path = tmp(&format!("vs_oracle_{name}"));
+        let cfg = CampaignConfig { threads: 4, checkpoint_every: 9, resume: false };
+        let stored = run_campaign(&spec, &lib, &bench, plan, &retry, &cfg, &path)
+            .expect("campaign run");
+        let in_memory = spec.generate_with_faults(&lib, &bench, plan, &retry);
+        for (how, report) in [("stored", &stored), ("in-memory", &in_memory)] {
+            assert_eq!(report.records, records, "{name}: {how} records differ");
+            assert_eq!(report.faults, faults, "{name}: {how} faults differ");
+            assert_eq!(report.total_bench, consumed, "{name}: {how} total_bench differs");
+        }
+        assert_eq!(stored.cells_total, spec.sample_count(&lib) as u64);
+        std::fs::remove_file(&path).ok();
+    }
 }
 
 proptest! {

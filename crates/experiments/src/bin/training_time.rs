@@ -3,8 +3,8 @@
 //! The paper's example: SuperMUC-NG (d8) is bounded by ~3 h and actually
 //! took ~56 min.
 
-use mpcp_benchmark::{BenchConfig, DatasetSpec};
-use mpcp_experiments::{fast_mode, fmt_duration, render_table, shrink_spec, write_result_csv};
+use mpcp_benchmark::BenchConfig;
+use mpcp_experiments::{fmt_duration, load_dataset, render_table, write_result_csv, Prepared};
 
 fn main() {
     mpcp_experiments::print_provenance("training_time", None);
@@ -15,13 +15,8 @@ fn main() {
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     for id in &ids {
-        let spec = DatasetSpec::by_id(id).unwrap_or_else(|| panic!("unknown dataset {id}"));
-        let spec = if fast_mode() { shrink_spec(spec) } else { spec };
+        let Prepared { spec, data: result, .. } = load_dataset(id);
         let bench = BenchConfig::paper_default(&spec.machine.name);
-        let library = spec.library(None);
-        // Budget accounting needs a fresh generation (cache holds no
-        // consumed-time info).
-        let result = spec.generate(&library, &bench);
         let bound = result.budget_bound(&bench);
         rows.push(vec![
             spec.id.to_string(),

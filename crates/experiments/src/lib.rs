@@ -19,15 +19,19 @@
 //! Binaries print the paper's rows/series and write CSVs under
 //! `results/`. `MPCP_FAST=1` shrinks grids for smoke runs.
 //!
-//! This library crate holds the shared pipeline: dataset generation with
-//! caching, selector training for the three learners, per-instance
-//! comparison rows, and plain-text table rendering.
+//! This library crate holds the shared pipeline: dataset measurement
+//! through one resumable campaign store per dataset (under
+//! `results/cache/`), selector training for the three learners,
+//! per-instance comparison rows, and plain-text table rendering.
 
 #![forbid(unsafe_code)]
 
 use std::path::{Path, PathBuf};
 
-use mpcp_benchmark::{BenchConfig, DatasetResult, DatasetSpec, Record};
+use mpcp_benchmark::{
+    run_campaign, BenchConfig, CampaignConfig, CampaignReport, DatasetSpec, Record, RetryPolicy,
+    StoreError,
+};
 use mpcp_collectives::MpiLibrary;
 use mpcp_core::{evaluate, splits, InstanceEval, Selector};
 use mpcp_ml::Learner;
@@ -53,11 +57,18 @@ pub fn results_dir() -> PathBuf {
     p
 }
 
-/// Dataset cache directory.
+/// Directory of the per-dataset campaign stores.
 pub fn cache_dir() -> PathBuf {
     let p = results_dir().join("cache");
     std::fs::create_dir_all(&p).expect("cannot create cache dir");
     p
+}
+
+/// The campaign store of dataset `id` under `dir`. Smoke-scale
+/// (`MPCP_FAST=1`) grids get their own file, so a shrunk and a full
+/// grid never meet on one store header.
+pub fn store_path(dir: &Path, id: &str, fast: bool) -> PathBuf {
+    dir.join(if fast { format!("{id}.fast.store") } else { format!("{id}.store") })
 }
 
 /// Whether fast (smoke-test) mode is requested via `MPCP_FAST=1`.
@@ -93,29 +104,57 @@ pub struct Prepared {
     pub spec: DatasetSpec,
     /// The library with its default decision logic.
     pub library: MpiLibrary,
-    /// Generated (or cache-loaded) records.
-    pub data: DatasetResult,
+    /// The measured records and their benchmark-time accounting.
+    pub data: CampaignReport,
     /// Table III split for the machine.
     pub split: splits::Split,
 }
 
 impl Prepared {
-    /// Generate (with caching) everything needed to evaluate a dataset.
+    /// Measure (or resume) everything needed to evaluate a dataset,
+    /// through its store under [`cache_dir`].
     pub fn load(spec: DatasetSpec) -> Prepared {
-        let spec = if fast_mode() { shrink_spec(spec) } else { spec };
+        let (dir, fast, id) = (cache_dir(), fast_mode(), spec.id);
+        Prepared::load_in(spec, &dir, fast).unwrap_or_else(|e| {
+            let store = store_path(&dir, id, fast);
+            panic!("{}: {e} (delete it to measure from scratch)", store.display())
+        })
+    }
+
+    /// [`Prepared::load`] with the store directory and the smoke-scale
+    /// switch as arguments. The dataset is measured by the campaign
+    /// runner into its store under `dir`, resuming from the last
+    /// committed chunk, so an interrupted run loses at most the chunks
+    /// in flight.
+    pub fn load_in(spec: DatasetSpec, dir: &Path, fast: bool) -> Result<Prepared, StoreError> {
+        let spec = if fast { shrink_spec(spec) } else { spec };
         let bench = BenchConfig::paper_default(&spec.machine.name);
         let library = spec.library(None);
+        let store = store_path(dir, spec.id, fast);
         eprintln!(
-            "[{}] generating {} cells ({} configs) ...",
+            "[{}] measuring {} cells ({} configs) into {} ...",
             spec.id,
             spec.sample_count(&library),
-            library.configs(spec.coll).len()
+            library.configs(spec.coll).len(),
+            store.display()
         );
         let t0 = std::time::Instant::now();
-        let data = spec.generate_cached(&library, &bench, &cache_dir());
-        eprintln!("[{}] ready in {:.1}s", spec.id, t0.elapsed().as_secs_f64());
+        let cfg = CampaignConfig {
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            resume: true,
+            ..CampaignConfig::default()
+        };
+        let data =
+            run_campaign(&spec, &library, &bench, None, &RetryPolicy::default(), &cfg, &store)?;
+        eprintln!(
+            "[{}] ready in {:.1}s: {}/{} chunks resumed",
+            spec.id,
+            t0.elapsed().as_secs_f64(),
+            data.chunks_resumed,
+            data.chunks_total
+        );
         let split = splits::paper_split(&spec.machine.name);
-        Prepared { spec, library, data, split }
+        Ok(Prepared { spec, library, data, split })
     }
 
     /// Training records for the full or small Table III training set.

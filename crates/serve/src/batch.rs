@@ -109,7 +109,12 @@ pub struct BatchServer {
 }
 
 impl BatchServer {
-    /// Spawn `cfg.workers` threads serving queries against `service`.
+    /// Spawn `cfg.workers` threads, named `mpcp-batch-{i}`, serving
+    /// queries against `service`.
+    ///
+    /// # Panics
+    /// Panics if the OS cannot create a worker thread, as
+    /// `std::thread::spawn` does.
     pub fn start(service: Arc<PredictionService>, cfg: BatchConfig) -> BatchServer {
         BatchServer::start_inner(service, cfg, None)
     }
@@ -140,9 +145,12 @@ impl BatchServer {
         });
         let max_batch = cfg.max_batch.max(1);
         let workers = (0..cfg.workers.max(1))
-            .map(|_| {
+            .map(|i| {
                 let inner = Arc::clone(&inner);
-                std::thread::spawn(move || worker_loop(&inner, max_batch))
+                std::thread::Builder::new()
+                    .name(format!("mpcp-batch-{i}"))
+                    .spawn(move || worker_loop(&inner, max_batch))
+                    .unwrap_or_else(|e| panic!("cannot spawn batch worker {i}: {e}"))
             })
             .collect();
         BatchServer { inner, workers }

@@ -12,7 +12,7 @@
 mod fixture;
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use mpcp_collectives::Collective;
@@ -23,9 +23,9 @@ use mpcp_serve::{
     BatchConfig, NetClient, NetConfig, NetServer, PredictionService, Reply, ShardKey, ShedFn,
 };
 
-/// These tests assert on process-wide thread counts and daemon
-/// counters; serialize them so one test's threads never show up in
-/// another's books.
+/// These tests assert on the daemon's thread count and counters;
+/// serialize them so one test's threads never show up in another's
+/// books.
 static NET_LOCK: Mutex<()> = Mutex::new(());
 
 /// A latch the daemon's batch workers block on, so overload tests can
@@ -77,35 +77,93 @@ fn grid(coll: Collective) -> Vec<Instance> {
         .collect()
 }
 
+/// Live threads whose name starts with `mpcp-`: the daemon's accept,
+/// connection and writer threads and the batch workers. Unnamed
+/// threads (libtest workers running sibling tests, client threads) are
+/// not the daemon's and never count.
 fn thread_count() -> usize {
-    std::fs::read_to_string("/proc/self/status")
-        .unwrap_or_default()
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return 0;
+    };
+    tasks
+        .filter_map(Result::ok)
+        .filter(|t| {
+            std::fs::read_to_string(t.path().join("comm"))
+                .is_ok_and(|name| name.starts_with("mpcp-"))
+        })
+        .count()
 }
 
-/// Poll until the process thread count drops back to `baseline`
+/// Poll until the `mpcp-*` thread count drops back to `baseline`
 /// (thread exit is asynchronous after `join` returns the counters).
-fn assert_threads_drain_to(baseline: usize) {
+fn threads_drain_to(baseline: usize, timeout: Duration) -> Result<(), String> {
     let t0 = Instant::now();
     loop {
         let now = thread_count();
         if now <= baseline {
-            return;
+            return Ok(());
         }
-        assert!(
-            t0.elapsed() < Duration::from_secs(10),
-            "leaked threads: {now} alive, baseline {baseline}"
-        );
+        if t0.elapsed() >= timeout {
+            return Err(format!("leaked threads: {now} alive, baseline {baseline}"));
+        }
         std::thread::sleep(Duration::from_millis(20));
     }
 }
 
+fn assert_threads_drain_to(baseline: usize) {
+    if let Err(leak) = threads_drain_to(baseline, Duration::from_secs(10)) {
+        panic!("{leak}");
+    }
+}
+
+/// Take the serial lock; a test that failed while holding it must not
+/// fail every later test with a `PoisonError`.
+fn serial() -> MutexGuard<'static, ()> {
+    NET_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+#[test]
+fn the_leak_check_counts_exactly_the_named_threads() {
+    let _serial = serial();
+    let baseline = thread_count();
+    // A spawned thread sets its own name as it starts: wait until both
+    // threads run before counting.
+    let (ready, started) = mpsc::channel::<()>();
+    let spawn = |name: Option<&str>| {
+        let (stop, stopped) = mpsc::channel::<()>();
+        let ready = ready.clone();
+        let mut builder = std::thread::Builder::new();
+        if let Some(name) = name {
+            builder = builder.name(name.to_string());
+        }
+        let handle = builder
+            .spawn(move || {
+                ready.send(()).unwrap();
+                stopped.recv().ok()
+            })
+            .unwrap();
+        (stop, handle)
+    };
+    let (stop_leak, leak) = spawn(Some("mpcp-leak-probe"));
+    let (stop_other, other) = spawn(None);
+    started.recv().unwrap();
+    started.recv().unwrap();
+
+    let err = threads_drain_to(baseline, Duration::from_millis(100))
+        .expect_err("a live mpcp-* thread must fail the check");
+    assert_eq!(err, format!("leaked threads: {} alive, baseline {baseline}", baseline + 1));
+
+    stop_leak.send(()).unwrap();
+    leak.join().unwrap();
+    // The unnamed thread is still alive and does not count.
+    assert_threads_drain_to(baseline);
+    stop_other.send(()).unwrap();
+    other.join().unwrap();
+}
+
 #[test]
 fn sustained_multi_connection_load_is_lossless_and_bit_identical() {
-    let _serial = NET_LOCK.lock().unwrap();
+    let _serial = serial();
     let (svc, key, coll) = fixture_service();
     let cells = grid(coll);
     let baseline = thread_count();
@@ -192,7 +250,7 @@ fn sustained_multi_connection_load_is_lossless_and_bit_identical() {
 
 #[test]
 fn wedged_workers_shed_degraded_answers_and_never_drop() {
-    let _serial = NET_LOCK.lock().unwrap();
+    let _serial = serial();
     let (svc, key, coll) = fixture_service();
     let cells = grid(coll);
     let baseline = thread_count();
@@ -278,7 +336,7 @@ fn wedged_workers_shed_degraded_answers_and_never_drop() {
 
 #[test]
 fn saturated_shedding_degrades_to_typed_overloaded_errors() {
-    let _serial = NET_LOCK.lock().unwrap();
+    let _serial = serial();
     let (svc, key, coll) = fixture_service();
     let cells = grid(coll);
     let baseline = thread_count();
@@ -327,7 +385,7 @@ fn saturated_shedding_degrades_to_typed_overloaded_errors() {
 
 #[test]
 fn idle_connections_are_reaped_and_shutdown_leaks_nothing() {
-    let _serial = NET_LOCK.lock().unwrap();
+    let _serial = serial();
     let (svc, key, coll) = fixture_service();
     let baseline = thread_count();
     let server = NetServer::start(
@@ -362,7 +420,7 @@ fn idle_connections_are_reaped_and_shutdown_leaks_nothing() {
 
 #[test]
 fn wire_shutdown_op_stops_the_daemon_for_all_clients() {
-    let _serial = NET_LOCK.lock().unwrap();
+    let _serial = serial();
     let (svc, key, coll) = fixture_service();
     let baseline = thread_count();
     let server =

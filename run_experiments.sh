@@ -1,6 +1,8 @@
 #!/bin/bash
 # Regenerate every table and figure of the paper (full grids).
-# Datasets are cached under results/cache after first generation.
+# Each dataset is measured into its own store under results/cache;
+# rerunning resumes each dataset from its store (after a kill, from the
+# last committed chunk).
 set -u
 cd "$(dirname "$0")"
 BIN=target/release

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
 
-use mpcp_benchmark::{BenchConfig, DatasetResult, DatasetSpec};
+use mpcp_benchmark::{BenchConfig, CampaignReport, DatasetSpec};
 use mpcp_collectives::MpiLibrary;
 use mpcp_core::{splits, ArtifactMeta, Selector, SelectorArtifact, TrainOptions};
 use mpcp_ml::Learner;
@@ -40,8 +40,8 @@ pub fn library() -> &'static MpiLibrary {
 }
 
 /// The tiny grid, benchmarked exactly once per test binary.
-pub fn dataset() -> &'static DatasetResult {
-    static DATA: OnceLock<DatasetResult> = OnceLock::new();
+pub fn dataset() -> &'static CampaignReport {
+    static DATA: OnceLock<CampaignReport> = OnceLock::new();
     DATA.get_or_init(|| spec().generate(library(), &BenchConfig::quick()))
 }
 

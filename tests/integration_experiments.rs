@@ -4,8 +4,9 @@
 
 use mpcp_benchmark::{BenchConfig, DatasetSpec};
 use mpcp_core::splits;
-use mpcp_experiments::{comparison_figure, render_table, Prepared};
+use mpcp_experiments::{comparison_figure, render_table, store_path, Prepared};
 use mpcp_ml::Learner;
+use mpcp_simnet::SimTime;
 
 /// Build a `Prepared` around the miniature test dataset, with a split we
 /// control (node 3 is the "odd unseen" test allocation).
@@ -76,4 +77,37 @@ fn evaluate_learner_is_consistent_with_manual_pipeline() {
 fn render_table_handles_ragged_rows() {
     let out = render_table(&["x", "y"], &[vec!["1".into()], vec!["22".into(), "3".into()]]);
     assert!(out.contains("22"));
+}
+
+#[test]
+fn prepared_datasets_resume_from_their_store() {
+    // Two default-size chunks, so a torn second chunk leaves the first.
+    let spec = DatasetSpec {
+        msizes: vec![16, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10],
+        ..DatasetSpec::tiny_for_tests()
+    };
+    let dir = std::env::temp_dir().join(format!("mpcp_prepared_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+
+    let first = Prepared::load_in(spec.clone(), &dir, false).expect("fresh store");
+    assert_eq!(first.data.chunks_total, 2);
+    assert_eq!(first.data.chunks_resumed, 0);
+    assert!(first.data.total_bench > SimTime::ZERO);
+
+    let again = Prepared::load_in(spec.clone(), &dir, false).expect("complete store");
+    assert_eq!(again.data.chunks_resumed, again.data.chunks_total);
+    assert_eq!(again.data.records, first.data.records);
+    assert_eq!(again.data.faults, first.data.faults);
+    assert_eq!(again.data.total_bench, first.data.total_bench);
+
+    // A kill mid-append leaves a torn last chunk: it is measured again.
+    let store = store_path(&dir, spec.id, false);
+    let bytes = std::fs::read(&store).expect("store bytes");
+    std::fs::write(&store, &bytes[..bytes.len() - 10]).expect("truncate store");
+    let healed = Prepared::load_in(spec, &dir, false).expect("torn store");
+    assert_eq!(healed.data.chunks_resumed, 1);
+    assert_eq!(healed.data.records, first.data.records);
+    assert_eq!(healed.data.total_bench, first.data.total_bench);
+    assert_eq!(std::fs::read(&store).expect("store bytes"), bytes);
+    std::fs::remove_dir_all(&dir).ok();
 }
