@@ -25,21 +25,25 @@
 //! sender-side queueing difference. Collective schedules are insensitive
 //! to this reordering.
 //!
-//! The engine is exactly deterministic: ties are broken by event sequence
-//! number, and no randomness exists below the benchmark layer.
+//! The engine is exactly deterministic: events at equal times run in the
+//! order they were scheduled (see [`crate::queue::RadixQueue`]), and no
+//! randomness exists below the benchmark layer. A thread's runs reuse one
+//! set of buffers (event queue, message slab, matching queues, resources),
+//! and cost conversions are hoisted out of the event loop; neither changes
+//! a single picosecond of the result, which the golden makespan table in
+//! `mpcp-collectives`' tests pins.
 
-use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, VecDeque};
+use std::cell::Cell;
 
 use crate::error::SimError;
 use crate::model::NetworkModel;
 use crate::program::{Instr, LoopBytes, Program, SegInstr, Tag};
+use crate::queue::{MatchQueue, RadixQueue};
 use crate::resource::FifoResource;
 use crate::stats::SimResult;
 use crate::time::SimTime;
 use crate::topology::{Rank, Topology};
-use crate::util::{match_key, IntMap};
+use crate::util::match_key;
 
 /// A configured simulator for one machine model and topology.
 ///
@@ -92,8 +96,11 @@ impl<'m> Simulator<'m> {
             .attr("nodes", self.topo.nodes())
             .attr("ranks", p);
         let wall = mpcp_obs::maybe_now();
-        let mut exec = Exec::new(self.model, &self.topo, programs, starts);
-        let result = exec.run();
+        let mut scratch = SCRATCH.try_with(Cell::take).ok().flatten().unwrap_or_default();
+        scratch.reset(p as usize, self.topo.nodes() as usize, self.model);
+        let result = Exec::new(self.model, &self.topo, programs, starts, &mut scratch).run();
+        // Ignored only during thread teardown, when the buffers are dropped.
+        let _ = SCRATCH.try_with(|s| s.set(Some(scratch)));
         if let Ok(r) = &result {
             mpcp_obs::counter_add!("simnet.runs", 1);
             mpcp_obs::counter_add!("simnet.events", r.events);
@@ -134,32 +141,13 @@ enum EventKind {
     CtsArrive { msg: u32 },
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct Event {
-    time: SimTime,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl Ord for Event {
-    #[inline]
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-impl PartialOrd for Event {
-    #[inline]
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 struct Msg {
     src: Rank,
     dst: Rank,
     bytes: u64,
     tag: Tag,
+    /// Source and destination share a node.
+    intra: bool,
     /// Blocking send: sender-side completion unblocks the current instr.
     send_counts: bool,
     /// Matched receive was blocking (set at match time).
@@ -172,7 +160,88 @@ struct PostedRecv {
     counts_current: bool,
 }
 
-/// Per-rank interpreter and matching state.
+/// Buffers that one thread's runs reuse, so a run allocates only its
+/// result and per-rank interpreter state.
+#[derive(Default)]
+struct Scratch {
+    queue: RadixQueue<EventKind>,
+    /// Per node: NIC transmit, NIC receive and shared-memory resources.
+    nic_tx: Vec<FifoResource>,
+    nic_rx: Vec<FifoResource>,
+    mem: Vec<FifoResource>,
+    msgs: Vec<Msg>,
+    free_msgs: Vec<u32>,
+    /// Per rank: posted-but-unmatched receives, keyed by (src, tag).
+    posted: Vec<MatchQueue<PostedRecv>>,
+    /// Per rank: arrived-but-unmatched messages (eager payloads or
+    /// rendezvous RTS).
+    arrived: Vec<MatchQueue<u32>>,
+}
+
+impl Scratch {
+    /// Empty every buffer and size it for `ranks` ranks on `nodes` nodes
+    /// of `model`.
+    fn reset(&mut self, ranks: usize, nodes: usize, model: &NetworkModel) {
+        reset_pool(&mut self.nic_tx, nodes, model.rails);
+        reset_pool(&mut self.nic_rx, nodes, model.rails);
+        reset_pool(&mut self.mem, nodes, model.mem_channels);
+        self.queue.clear();
+        self.msgs.clear();
+        self.free_msgs.clear();
+        for q in &mut self.posted {
+            q.clear();
+        }
+        for q in &mut self.arrived {
+            q.clear();
+        }
+        if self.posted.len() < ranks {
+            self.posted.resize_with(ranks, MatchQueue::default);
+            self.arrived.resize_with(ranks, MatchQueue::default);
+        }
+    }
+}
+
+/// Make the first `n` resources of `pool` idle `servers`-server ones.
+fn reset_pool(pool: &mut Vec<FifoResource>, n: usize, servers: u32) {
+    if pool.first().is_some_and(|r| r.servers() != servers as usize) {
+        pool.clear();
+    }
+    for r in pool.iter_mut().take(n) {
+        r.reset();
+    }
+    if pool.len() < n {
+        pool.resize_with(n, || FifoResource::new(servers));
+    }
+}
+
+thread_local! {
+    static SCRATCH: Cell<Option<Box<Scratch>>> = const { Cell::new(None) };
+}
+
+/// A cost function memoised on its last byte count. Segment loops ask
+/// for one size over and over; the functions are pure, so the memo
+/// returns exactly what a fresh conversion would.
+struct Memo {
+    bytes: u64,
+    time: SimTime,
+}
+
+impl Memo {
+    fn new(f: impl FnOnce(u64) -> SimTime) -> Self {
+        Memo { bytes: 0, time: f(0) }
+    }
+
+    #[inline]
+    fn get(&mut self, bytes: u64, f: impl FnOnce(u64) -> SimTime) -> SimTime {
+        if bytes != self.bytes {
+            self.bytes = bytes;
+            self.time = f(bytes);
+        }
+        self.time
+    }
+}
+
+/// Per-rank interpreter state.
 struct RankState<'p> {
     pc: usize,
     body: Option<&'p [SegInstr]>,
@@ -187,10 +256,6 @@ struct RankState<'p> {
     waiting_all: bool,
     finished: bool,
     finish_time: SimTime,
-    /// Posted-but-unmatched receives, keyed by (src, tag).
-    posted: IntMap<VecDeque<PostedRecv>>,
-    /// Arrived-but-unmatched messages (eager payloads or rendezvous RTS).
-    arrived: IntMap<VecDeque<u32>>,
 }
 
 impl<'p> RankState<'p> {
@@ -207,8 +272,6 @@ impl<'p> RankState<'p> {
             waiting_all: false,
             finished: false,
             finish_time: SimTime::ZERO,
-            posted: IntMap::default(),
-            arrived: IntMap::default(),
         }
     }
 }
@@ -222,18 +285,20 @@ enum RInstr {
     WaitAll,
 }
 
-struct Exec<'m, 'p> {
+struct Exec<'m, 'p, 's> {
     model: &'m NetworkModel,
     topo: &'p Topology,
     programs: &'p [Program],
     ranks: Vec<RankState<'p>>,
-    nic_tx: Vec<FifoResource>,
-    nic_rx: Vec<FifoResource>,
-    mem: Vec<FifoResource>,
-    heap: BinaryHeap<Reverse<Event>>,
-    msgs: Vec<Msg>,
-    free_msgs: Vec<u32>,
-    seq: u64,
+    scratch: &'s mut Scratch,
+    o_send: SimTime,
+    o_recv: SimTime,
+    alpha_inter: SimTime,
+    alpha_intra: SimTime,
+    rail_time: Memo,
+    mem_time: Memo,
+    reduce_time: Memo,
+    unexpected_time: Memo,
     events: u64,
     delivered: u64,
     bytes_inter: u64,
@@ -244,15 +309,15 @@ struct Exec<'m, 'p> {
     error: Option<SimError>,
 }
 
-impl<'m, 'p> Exec<'m, 'p> {
+impl<'m, 'p, 's> Exec<'m, 'p, 's> {
     fn new(
         model: &'m NetworkModel,
         topo: &'p Topology,
         programs: &'p [Program],
         starts: Option<&[SimTime]>,
+        scratch: &'s mut Scratch,
     ) -> Self {
         let p = topo.size() as usize;
-        let n = topo.nodes() as usize;
         let starts: Vec<SimTime> = match starts {
             Some(s) => s.to_vec(),
             None => vec![SimTime::ZERO; p],
@@ -262,13 +327,15 @@ impl<'m, 'p> Exec<'m, 'p> {
             topo,
             programs,
             ranks: (0..p).map(|_| RankState::new()).collect(),
-            nic_tx: (0..n).map(|_| FifoResource::new(model.rails)).collect(),
-            nic_rx: (0..n).map(|_| FifoResource::new(model.rails)).collect(),
-            mem: (0..n).map(|_| FifoResource::new(model.mem_channels)).collect(),
-            heap: BinaryHeap::with_capacity(p * 2),
-            msgs: Vec::with_capacity(256),
-            free_msgs: Vec::new(),
-            seq: 0,
+            scratch,
+            o_send: model.o_send_t(),
+            o_recv: model.o_recv_t(),
+            alpha_inter: model.alpha_inter_t(),
+            alpha_intra: model.alpha_intra_t(),
+            rail_time: Memo::new(|b| model.rail_time(b)),
+            mem_time: Memo::new(|b| model.mem_time(b)),
+            reduce_time: Memo::new(|b| model.reduce_time(b)),
+            unexpected_time: Memo::new(|b| model.unexpected_time(b)),
             events: 0,
             delivered: 0,
             bytes_inter: 0,
@@ -282,35 +349,48 @@ impl<'m, 'p> Exec<'m, 'p> {
 
     #[inline]
     fn push_event(&mut self, time: SimTime, kind: EventKind) {
-        self.seq += 1;
-        self.heap.push(Reverse(Event { time, seq: self.seq, kind }));
+        self.scratch.queue.push(time, kind);
+    }
+
+    #[inline]
+    fn alpha(&self, intra: bool) -> SimTime {
+        if intra {
+            self.alpha_intra
+        } else {
+            self.alpha_inter
+        }
     }
 
     fn alloc_msg(&mut self, msg: Msg) -> u32 {
-        if let Some(id) = self.free_msgs.pop() {
-            self.msgs[id as usize] = msg;
+        let msgs = &mut self.scratch.msgs;
+        if let Some(id) = self.scratch.free_msgs.pop() {
+            msgs[id as usize] = msg;
             id
         } else {
-            self.msgs.push(msg);
-            (self.msgs.len() - 1) as u32
+            msgs.push(msg);
+            (msgs.len() - 1) as u32
         }
     }
 
     #[inline]
     fn free_msg(&mut self, id: u32) {
-        self.free_msgs.push(id);
+        self.scratch.free_msgs.push(id);
+    }
+
+    #[inline]
+    fn msg(&self, id: u32) -> &Msg {
+        &self.scratch.msgs[id as usize]
     }
 
     fn run(&mut self) -> Result<SimResult, SimError> {
         for r in 0..self.topo.size() {
             self.push_event(self.starts[r as usize], EventKind::Advance { rank: r });
         }
-        while let Some(Reverse(ev)) = self.heap.pop() {
+        while let Some((t, kind)) = self.scratch.queue.pop() {
             self.events += 1;
-            let t = ev.time;
-            match ev.kind {
+            match kind {
                 EventKind::Advance { rank } | EventKind::CurDone { rank } => {
-                    if matches!(ev.kind, EventKind::CurDone { .. }) {
+                    if matches!(kind, EventKind::CurDone { .. }) {
                         let st = &mut self.ranks[rank as usize];
                         debug_assert!(st.pending_current > 0);
                         st.pending_current -= 1;
@@ -358,6 +438,7 @@ impl<'m, 'p> Exec<'m, 'p> {
             sent_bytes: std::mem::take(&mut self.sent_bytes),
         })
     }
+
 
     /// Fetch the next resolved instruction for `rank`, handling loop state.
     fn fetch_next(&mut self, rank: Rank) -> Option<RInstr> {
@@ -458,7 +539,7 @@ impl<'m, 'p> Exec<'m, 'p> {
 
     /// Issue instructions for `rank` starting at `now` until it blocks or
     /// finishes. Cheap nonblocking instructions continue inline without
-    /// heap traffic.
+    /// queue traffic.
     fn advance(&mut self, rank: Rank, mut now: SimTime) {
         loop {
             let Some(instr) = self.fetch_next(rank) else {
@@ -474,9 +555,9 @@ impl<'m, 'p> Exec<'m, 'p> {
                     // receives, reserve resources) at the *current* event
                     // time while claiming a future logical time, breaking
                     // causality for any message arriving in between.
-                    self.push_event(now + self.model.reduce_time(bytes), EventKind::Advance {
-                        rank,
-                    });
+                    let model = self.model;
+                    let dur = self.reduce_time.get(bytes, |b| model.reduce_time(b));
+                    self.push_event(now + dur, EventKind::Advance { rank });
                     return;
                 }
                 RInstr::WaitAll => {
@@ -487,7 +568,7 @@ impl<'m, 'p> Exec<'m, 'p> {
                     }
                 }
                 RInstr::Send { peer, bytes, tag, blocking } => {
-                    let cpu_done = now + self.model.o_send_t();
+                    let cpu_done = now + self.o_send;
                     self.start_send(rank, peer, bytes, tag, blocking, cpu_done);
                     if blocking {
                         self.ranks[rank as usize].pending_current = 1;
@@ -509,7 +590,7 @@ impl<'m, 'p> Exec<'m, 'p> {
                 }
                 RInstr::SendRecv { s_peer, s_bytes, s_tag, r_peer, r_bytes, r_tag } => {
                     self.ranks[rank as usize].pending_current = 2;
-                    let cpu_done = now + self.model.o_send_t();
+                    let cpu_done = now + self.o_send;
                     self.start_send(rank, s_peer, s_bytes, s_tag, true, cpu_done);
                     self.post_recv(rank, r_peer, r_bytes, r_tag, true, now);
                     return;
@@ -544,6 +625,7 @@ impl<'m, 'p> Exec<'m, 'p> {
             dst,
             bytes,
             tag,
+            intra,
             send_counts,
             recv_counts: false,
             rendezvous: !eager,
@@ -551,30 +633,30 @@ impl<'m, 'p> Exec<'m, 'p> {
         if eager {
             self.inject(id, ready);
         } else {
-            let alpha = if intra { self.model.alpha_intra_t() } else { self.model.alpha_inter_t() };
-            self.push_event(ready + alpha, EventKind::RtsArrive { msg: id });
+            self.push_event(ready + self.alpha(intra), EventKind::RtsArrive { msg: id });
         }
     }
 
     /// Reserve transfer resources for message `id` starting no earlier
     /// than `ready`; schedules sender-side completion and delivery.
     fn inject(&mut self, id: u32, ready: SimTime) {
-        let (src, dst, bytes) = {
-            let m = &self.msgs[id as usize];
-            (m.src, m.dst, m.bytes)
+        let (src, dst, bytes, intra) = {
+            let m = self.msg(id);
+            (m.src, m.dst, m.bytes, m.intra)
         };
+        let model = self.model;
         let src_node = self.topo.node_of(src) as usize;
-        let dst_node = self.topo.node_of(dst) as usize;
-        if src_node == dst_node {
-            let dur = self.model.mem_time(bytes);
-            let (_, copy_end) = self.mem[src_node].reserve(ready, dur);
+        if intra {
+            let dur = self.mem_time.get(bytes, |b| model.mem_time(b));
+            let (_, copy_end) = self.scratch.mem[src_node].reserve(ready, dur);
             self.push_event(copy_end, EventKind::SenderDone { msg: id });
-            self.push_event(copy_end + self.model.alpha_intra_t(), EventKind::Delivery { msg: id });
+            self.push_event(copy_end + self.alpha_intra, EventKind::Delivery { msg: id });
         } else {
-            let dur = self.model.rail_time(bytes);
-            let (_, tx_end) = self.nic_tx[src_node].reserve(ready, dur);
-            let arrival = tx_end + self.model.alpha_inter_t();
-            let (_, rx_end) = self.nic_rx[dst_node].reserve(arrival, dur);
+            let dst_node = self.topo.node_of(dst) as usize;
+            let dur = self.rail_time.get(bytes, |b| model.rail_time(b));
+            let (_, tx_end) = self.scratch.nic_tx[src_node].reserve(ready, dur);
+            let arrival = tx_end + self.alpha_inter;
+            let (_, rx_end) = self.scratch.nic_rx[dst_node].reserve(arrival, dur);
             self.push_event(tx_end, EventKind::SenderDone { msg: id });
             self.push_event(rx_end, EventKind::Delivery { msg: id });
         }
@@ -592,43 +674,33 @@ impl<'m, 'p> Exec<'m, 'p> {
         now: SimTime,
     ) {
         let key = match_key(src, tag);
-        let st = &mut self.ranks[rank as usize];
-        if let Entry::Occupied(mut e) = st.arrived.entry(key) {
-            let id = e.get_mut().pop_front().expect("arrived queues are never left empty");
-            if e.get().is_empty() {
-                e.remove();
-            }
-            let (mbytes, rendezvous) = {
-                let m = &self.msgs[id as usize];
-                (m.bytes, m.rendezvous)
-            };
-            if mbytes != bytes {
-                self.error = Some(SimError::SizeMismatch { src, dst: rank, tag, sent: mbytes, expected: bytes });
-                return;
-            }
-            if rendezvous {
-                // RTS was waiting: grant the transfer now.
-                self.msgs[id as usize].recv_counts = counts_current;
-                let intra = self.topo.same_node(src, rank);
-                let alpha = if intra { self.model.alpha_intra_t() } else { self.model.alpha_inter_t() };
-                self.push_event(now + alpha, EventKind::CtsArrive { msg: id });
-            } else {
-                // Eager payload already buffered: pay the unexpected copy.
-                let done = now + self.model.o_recv_t() + self.model.unexpected_time(bytes);
-                self.finish_recv(id, rank, counts_current, done);
-            }
+        let Some(id) = self.scratch.arrived[rank as usize].pop(key) else {
+            self.scratch.posted[rank as usize].push(key, PostedRecv { bytes, counts_current });
+            return;
+        };
+        let (mbytes, rendezvous, intra) = {
+            let m = self.msg(id);
+            (m.bytes, m.rendezvous, m.intra)
+        };
+        if mbytes != bytes {
+            self.error = Some(SimError::SizeMismatch { src, dst: rank, tag, sent: mbytes, expected: bytes });
+            return;
+        }
+        if rendezvous {
+            // RTS was waiting: grant the transfer now.
+            self.scratch.msgs[id as usize].recv_counts = counts_current;
+            self.push_event(now + self.alpha(intra), EventKind::CtsArrive { msg: id });
         } else {
-            self.ranks[rank as usize]
-                .posted
-                .entry(key)
-                .or_default()
-                .push_back(PostedRecv { bytes, counts_current });
+            // Eager payload already buffered: pay the unexpected copy.
+            let model = self.model;
+            let copy = self.unexpected_time.get(bytes, |b| model.unexpected_time(b));
+            self.finish_recv(id, rank, counts_current, now + self.o_recv + copy);
         }
     }
 
     fn on_sender_done(&mut self, id: u32, t: SimTime) {
         let (src, bytes, counts) = {
-            let m = &self.msgs[id as usize];
+            let m = self.msg(id);
             (m.src, m.bytes, m.send_counts)
         };
         self.sent_bytes[src as usize] += bytes;
@@ -649,69 +721,45 @@ impl<'m, 'p> Exec<'m, 'p> {
         }
     }
 
+    /// Match an arrived eager payload or rendezvous RTS against the
+    /// receiver's posted receives, or park it; `None` if it was parked.
+    fn match_posted(&mut self, id: u32) -> Option<PostedRecv> {
+        let (src, dst, bytes, tag) = {
+            let m = self.msg(id);
+            (m.src, m.dst, m.bytes, m.tag)
+        };
+        let key = match_key(src, tag);
+        let Some(posted) = self.scratch.posted[dst as usize].pop(key) else {
+            self.scratch.arrived[dst as usize].push(key, id);
+            return None;
+        };
+        if posted.bytes != bytes {
+            self.error =
+                Some(SimError::SizeMismatch { src, dst, tag, sent: bytes, expected: posted.bytes });
+            return None;
+        }
+        Some(posted)
+    }
+
     fn on_delivery(&mut self, id: u32, t: SimTime) {
-        let (src, dst, bytes, tag, rendezvous, recv_counts) = {
-            let m = &self.msgs[id as usize];
-            (m.src, m.dst, m.bytes, m.tag, m.rendezvous, m.recv_counts)
+        let (dst, rendezvous, recv_counts) = {
+            let m = self.msg(id);
+            (m.dst, m.rendezvous, m.recv_counts)
         };
         if rendezvous {
             // Receive was matched at RTS/CTS time; complete it now.
-            let done = t + self.model.o_recv_t();
-            self.finish_recv(id, dst, recv_counts, done);
-            return;
-        }
-        let key = match_key(src, tag);
-        let st = &mut self.ranks[dst as usize];
-        if let Entry::Occupied(mut e) = st.posted.entry(key) {
-            let posted = e.get_mut().pop_front().expect("posted queues are never left empty");
-            if e.get().is_empty() {
-                e.remove();
-            }
-            if posted.bytes != bytes {
-                self.error = Some(SimError::SizeMismatch {
-                    src,
-                    dst,
-                    tag,
-                    sent: bytes,
-                    expected: posted.bytes,
-                });
-                return;
-            }
-            let done = t + self.model.o_recv_t();
-            self.finish_recv(id, dst, posted.counts_current, done);
-        } else {
-            st.arrived.entry(key).or_default().push_back(id);
+            self.finish_recv(id, dst, recv_counts, t + self.o_recv);
+        } else if let Some(posted) = self.match_posted(id) {
+            self.finish_recv(id, dst, posted.counts_current, t + self.o_recv);
         }
     }
 
     fn on_rts(&mut self, id: u32, t: SimTime) {
-        let (src, dst, bytes, tag) = {
-            let m = &self.msgs[id as usize];
-            (m.src, m.dst, m.bytes, m.tag)
-        };
-        let key = match_key(src, tag);
-        let st = &mut self.ranks[dst as usize];
-        if let Entry::Occupied(mut e) = st.posted.entry(key) {
-            let posted = e.get_mut().pop_front().expect("posted queues are never left empty");
-            if e.get().is_empty() {
-                e.remove();
-            }
-            if posted.bytes != bytes {
-                self.error = Some(SimError::SizeMismatch {
-                    src,
-                    dst,
-                    tag,
-                    sent: bytes,
-                    expected: posted.bytes,
-                });
-                return;
-            }
-            self.msgs[id as usize].recv_counts = posted.counts_current;
-            let intra = self.topo.same_node(src, dst);
-            let alpha = if intra { self.model.alpha_intra_t() } else { self.model.alpha_inter_t() };
-            self.push_event(t + alpha, EventKind::CtsArrive { msg: id });
-        } else {
-            st.arrived.entry(key).or_default().push_back(id);
+        if let Some(posted) = self.match_posted(id) {
+            let m = &mut self.scratch.msgs[id as usize];
+            m.recv_counts = posted.counts_current;
+            let intra = m.intra;
+            self.push_event(t + self.alpha(intra), EventKind::CtsArrive { msg: id });
         }
     }
 
@@ -723,13 +771,13 @@ impl<'m, 'p> Exec<'m, 'p> {
     /// Account a completed receive and route its completion (blocking →
     /// `CurDone`, nonblocking → `NbDone`) at time `done`.
     fn finish_recv(&mut self, id: u32, dst: Rank, counts_current: bool, done: SimTime) {
-        let (src, bytes) = {
-            let m = &self.msgs[id as usize];
-            (m.src, m.bytes)
+        let (bytes, intra) = {
+            let m = self.msg(id);
+            (m.bytes, m.intra)
         };
         self.delivered += 1;
         self.recv_bytes[dst as usize] += bytes;
-        if self.topo.same_node(src, dst) {
+        if intra {
             self.bytes_intra += bytes;
         } else {
             self.bytes_inter += bytes;

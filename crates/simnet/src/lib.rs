@@ -45,6 +45,7 @@ pub mod error;
 pub mod machine;
 pub mod model;
 pub mod program;
+pub mod queue;
 pub mod resource;
 pub mod stats;
 pub mod time;
