@@ -12,6 +12,14 @@ fn bench(c: &mut Criterion) {
         ("chain_bcast_128ranks_4M_seg1K", AlgKind::BcastChain { chains: 4, seg: 1 << 10 },
          Topology::new(16, 8), 4 << 20),
         ("alltoall_linear_64ranks_4K", AlgKind::AlltoallLinear, Topology::new(8, 8), 4 << 10),
+        // The heaviest cell of the d2-shaped regeneration grid: a 1 KiB
+        // segment train, most of that grid's events.
+        ("segring_allreduce_16ranks_4M_seg1K", AlgKind::AllreduceSegRing { seg: 1 << 10 },
+         Topology::new(8, 2), 4 << 20),
+        // A typical cheap d1 cell: ~100 events, so the per-run set-up
+        // cost shows next to the per-event cost.
+        ("binomial_bcast_16ranks_1K", AlgKind::BcastBinomial { seg: 0 }, Topology::new(4, 4),
+         1 << 10),
     ];
     let mut g = c.benchmark_group("simulator_event_rate");
     g.sample_size(10);

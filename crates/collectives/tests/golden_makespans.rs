@@ -120,22 +120,23 @@ fn compute_rows() -> Vec<String> {
     let cells = cells();
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(4);
     let mut rows = vec![String::new(); cells.len()];
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let done = std::sync::Mutex::new(Vec::new());
     std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                // ORDERING: a work counter only; results travel through the mutex.
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(&(kind, topo, m, skewed)) = cells.get(i) else { break };
-                let r = row(kind, topo, m, skewed);
-                done.lock().unwrap_or_else(|e| e.into_inner()).push((i, r));
-            });
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let cells = &cells;
+                s.spawn(move || {
+                    let mine = cells.iter().enumerate().skip(t).step_by(threads);
+                    mine.map(|(i, &(k, topo, m, skewed))| (i, row(k, topo, m, skewed)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for w in workers {
+            for (i, r) in w.join().expect("a golden-table worker panicked") {
+                rows[i] = r;
+            }
         }
     });
-    for (i, r) in done.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        rows[i] = r;
-    }
     rows
 }
 

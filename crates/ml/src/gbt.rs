@@ -514,14 +514,16 @@ mod tests {
             let dst = if i % 4 == 0 { &mut valid } else { &mut train };
             dst.push(d.row(i), d.targets()[i]);
         }
-        mpcp_obs::set_enabled(true);
-        // Concurrent tests on other threads may also record while the
-        // global switch is on; a sentinel pins down this thread's tid so
-        // the assertions below only see this fit's events.
-        mpcp_obs::event("gbt.test.sentinel").emit();
-        let params = GbtParams { rounds: 12, ..Default::default() };
-        GbtModel::fit_with_valid(&train, &params, Some(&valid));
-        mpcp_obs::set_enabled(false);
+        {
+            // The switch goes back off when this block ends, also if the
+            // fit panics. Concurrent tests on other threads may record
+            // while it is on; a sentinel pins down this thread's tid so
+            // the assertions below only see this fit's events.
+            let _recording = mpcp_obs::set_enabled_scoped(true);
+            mpcp_obs::event("gbt.test.sentinel").emit();
+            let params = GbtParams { rounds: 12, ..Default::default() };
+            GbtModel::fit_with_valid(&train, &params, Some(&valid));
+        }
         let mut events = mpcp_obs::drain();
         mpcp_obs::metrics::reset();
         let tid = events

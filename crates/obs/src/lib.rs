@@ -63,6 +63,27 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
+/// Set the recording switch until the returned guard drops, which puts
+/// back the setting it replaced, also when the holder panics. Tests that
+/// record use it so the switch cannot stay on for the tests after them.
+#[must_use = "the previous setting is restored when the guard drops"]
+pub fn set_enabled_scoped(on: bool) -> EnabledGuard {
+    let was = enabled();
+    set_enabled(on);
+    EnabledGuard { was }
+}
+
+/// Restores the recording switch on drop; see [`set_enabled_scoped`].
+pub struct EnabledGuard {
+    was: bool,
+}
+
+impl Drop for EnabledGuard {
+    fn drop(&mut self) {
+        set_enabled(self.was);
+    }
+}
+
 /// Whether recording is enabled. This is the entire disabled-path cost
 /// of every probe: one relaxed atomic load.
 #[inline(always)]
@@ -106,5 +127,22 @@ mod tests {
             event("e").attr("x", 2.0).emit();
         }
         assert!(drain().is_empty());
+    }
+
+    #[test]
+    fn scoped_switch_is_restored_even_on_panic() {
+        let _lock = crate::span::test_lock();
+        set_enabled(false);
+        {
+            let _on = set_enabled_scoped(true);
+            assert!(enabled());
+        }
+        assert!(!enabled());
+        let unwound = std::panic::catch_unwind(|| {
+            let _on = set_enabled_scoped(true);
+            panic!("a failing recording test");
+        });
+        assert!(unwound.is_err());
+        assert!(!enabled(), "a panicking holder left recording on");
     }
 }

@@ -494,8 +494,9 @@ mod tests {
         let inst = Instance::new(coll, 4096, 4, 2);
         // This counter is only bumped by the miss-dedupe path, and no
         // other test in this binary queues duplicate instances, so the
-        // delta is exact. Recording is off by default in tests.
-        mpcp_obs::set_enabled(true);
+        // delta is exact. Recording is off by default in tests, and goes
+        // back off when this test ends, passed or failed.
+        let _recording = mpcp_obs::set_enabled_scoped(true);
         let dedup_before = mpcp_obs::metrics::counter("serve.batch.dedup_saved").get();
         let tickets: Vec<Ticket> = (0..N)
             .map(|_| server.submit(key.clone(), inst).expect("admitted"))

@@ -218,24 +218,25 @@ thread_local! {
     static SCRATCH: Cell<Option<Box<Scratch>>> = const { Cell::new(None) };
 }
 
-/// A cost function memoised on its last byte count. Segment loops ask
-/// for one size over and over; the functions are pure, so the memo
-/// returns exactly what a fresh conversion would.
+/// A per-byte cost of the model memoised on its last byte count.
+/// Segment loops ask for one size over and over; the costs are pure, so
+/// the memo returns exactly what a fresh conversion would.
 struct Memo {
+    cost: fn(&NetworkModel, u64) -> SimTime,
     bytes: u64,
     time: SimTime,
 }
 
 impl Memo {
-    fn new(f: impl FnOnce(u64) -> SimTime) -> Self {
-        Memo { bytes: 0, time: f(0) }
+    fn new(model: &NetworkModel, cost: fn(&NetworkModel, u64) -> SimTime) -> Self {
+        Memo { cost, bytes: 0, time: cost(model, 0) }
     }
 
     #[inline]
-    fn get(&mut self, bytes: u64, f: impl FnOnce(u64) -> SimTime) -> SimTime {
+    fn get(&mut self, model: &NetworkModel, bytes: u64) -> SimTime {
         if bytes != self.bytes {
             self.bytes = bytes;
-            self.time = f(bytes);
+            self.time = (self.cost)(model, bytes);
         }
         self.time
     }
@@ -332,10 +333,10 @@ impl<'m, 'p, 's> Exec<'m, 'p, 's> {
             o_recv: model.o_recv_t(),
             alpha_inter: model.alpha_inter_t(),
             alpha_intra: model.alpha_intra_t(),
-            rail_time: Memo::new(|b| model.rail_time(b)),
-            mem_time: Memo::new(|b| model.mem_time(b)),
-            reduce_time: Memo::new(|b| model.reduce_time(b)),
-            unexpected_time: Memo::new(|b| model.unexpected_time(b)),
+            rail_time: Memo::new(model, NetworkModel::rail_time),
+            mem_time: Memo::new(model, NetworkModel::mem_time),
+            reduce_time: Memo::new(model, NetworkModel::reduce_time),
+            unexpected_time: Memo::new(model, NetworkModel::unexpected_time),
             events: 0,
             delivered: 0,
             bytes_inter: 0,
@@ -438,7 +439,6 @@ impl<'m, 'p, 's> Exec<'m, 'p, 's> {
             sent_bytes: std::mem::take(&mut self.sent_bytes),
         })
     }
-
 
     /// Fetch the next resolved instruction for `rank`, handling loop state.
     fn fetch_next(&mut self, rank: Rank) -> Option<RInstr> {
@@ -555,8 +555,7 @@ impl<'m, 'p, 's> Exec<'m, 'p, 's> {
                     // receives, reserve resources) at the *current* event
                     // time while claiming a future logical time, breaking
                     // causality for any message arriving in between.
-                    let model = self.model;
-                    let dur = self.reduce_time.get(bytes, |b| model.reduce_time(b));
+                    let dur = self.reduce_time.get(self.model, bytes);
                     self.push_event(now + dur, EventKind::Advance { rank });
                     return;
                 }
@@ -644,16 +643,15 @@ impl<'m, 'p, 's> Exec<'m, 'p, 's> {
             let m = self.msg(id);
             (m.src, m.dst, m.bytes, m.intra)
         };
-        let model = self.model;
         let src_node = self.topo.node_of(src) as usize;
         if intra {
-            let dur = self.mem_time.get(bytes, |b| model.mem_time(b));
+            let dur = self.mem_time.get(self.model, bytes);
             let (_, copy_end) = self.scratch.mem[src_node].reserve(ready, dur);
             self.push_event(copy_end, EventKind::SenderDone { msg: id });
             self.push_event(copy_end + self.alpha_intra, EventKind::Delivery { msg: id });
         } else {
             let dst_node = self.topo.node_of(dst) as usize;
-            let dur = self.rail_time.get(bytes, |b| model.rail_time(b));
+            let dur = self.rail_time.get(self.model, bytes);
             let (_, tx_end) = self.scratch.nic_tx[src_node].reserve(ready, dur);
             let arrival = tx_end + self.alpha_inter;
             let (_, rx_end) = self.scratch.nic_rx[dst_node].reserve(arrival, dur);
@@ -692,8 +690,7 @@ impl<'m, 'p, 's> Exec<'m, 'p, 's> {
             self.push_event(now + self.alpha(intra), EventKind::CtsArrive { msg: id });
         } else {
             // Eager payload already buffered: pay the unexpected copy.
-            let model = self.model;
-            let copy = self.unexpected_time.get(bytes, |b| model.unexpected_time(b));
+            let copy = self.unexpected_time.get(self.model, bytes);
             self.finish_recv(id, rank, counts_current, now + self.o_recv + copy);
         }
     }

@@ -195,54 +195,6 @@ impl<T> RadixQueue<T> {
         }
         self.last = 0;
         self.head0 = 0;
-        self.occupied = 0;
         self.len = 0;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn match_queue_is_fifo_per_key() {
-        let mut q = MatchQueue::default();
-        q.push(1, 'a');
-        q.push(2, 'x');
-        q.push(1, 'b');
-        q.push(1, 'c');
-        assert_eq!(q.pop(1), Some('a'));
-        assert_eq!(q.pop(1), Some('b'));
-        assert_eq!(q.pop(2), Some('x'));
-        assert_eq!(q.pop(2), None);
-        assert_eq!(q.pop(1), Some('c'));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn radix_queue_pops_in_time_then_push_order() {
-        let mut q = RadixQueue::default();
-        for (t, v) in [(5, 'a'), (3, 'b'), (5, 'c'), (3, 'd'), (1 << 40, 'e')] {
-            q.push(SimTime(t), v);
-        }
-        assert_eq!(q.pop(), Some((SimTime(3), 'b')));
-        q.push(SimTime(3), 'f');
-        q.push(SimTime(4), 'g');
-        let rest: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
-        assert_eq!(rest, ['d', 'f', 'g', 'a', 'c', 'e']);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn radix_queue_clear_restarts_at_zero() {
-        let mut q = RadixQueue::default();
-        q.push(SimTime(100), 1u8);
-        assert_eq!(q.pop(), Some((SimTime(100), 1)));
-        q.push(SimTime(200), 2);
-        q.clear();
-        assert_eq!(q.len(), 0);
-        q.push(SimTime(0), 3);
-        assert_eq!(q.pop(), Some((SimTime(0), 3)));
-        assert_eq!(q.pop(), None);
     }
 }
